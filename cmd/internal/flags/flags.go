@@ -257,7 +257,7 @@ const (
 	faultRepairUsage   = "repair failed links after this many cycles (0 = failures are permanent)"
 	faultSeedUsage     = "seed for the generated fault schedule (0 = derive from -seed)"
 	faultScheduleUsage = "inject the fault events in this JSONL schedule file (composable with -fault-link-mttf)"
-	shardsUsage        = "parallel cycle-engine shards per run: 1 = sequential, -1 = auto (min(GOMAXPROCS, routers/4)); results are bit-identical for any value"
+	shardsUsage        = "parallel cycle-engine shards per run: 1 = sequential, -1 = auto (min(GOMAXPROCS, routers/4096): networks under 8192 routers run sequentially); results are bit-identical for any value"
 )
 
 // LoadFaultSchedule parses the -fault-schedule file (when set) into the

@@ -56,8 +56,10 @@ type Params struct {
 	RecoveryDrainRate int
 	// Shards is the number of parallel workers stepping the network.
 	// 1 runs the sequential engine; AutoShards (-1) picks
-	// min(GOMAXPROCS, nodes/4); 0 consults the FLEXSIM_SHARDS environment
-	// variable and falls back to 1. The value is clamped to [1, nodes].
+	// min(GOMAXPROCS, nodes/4096), so only networks of 8192 or more
+	// routers shard (see AutoShardCount); 0 consults the FLEXSIM_SHARDS
+	// environment variable and falls back to 1. The value is clamped to
+	// [1, nodes].
 	// Shard count never changes simulation results — only wall-clock time.
 	Shards int
 	// CheckInvariants enables per-cycle validation (tests only; costly).

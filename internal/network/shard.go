@@ -46,8 +46,28 @@ import (
 	"flexsim/internal/trace"
 )
 
-// AutoShards selects min(GOMAXPROCS, nodes/4) workers at construction.
+// AutoShards selects AutoShardCount(nodes) workers at construction.
 const AutoShards = -1
+
+// minRoutersPerShard is the smallest shard the auto rule will make. Below
+// it, barrier and mailbox costs outweigh the parallel kernel time, and a
+// sweep's concurrent runs already fill the cores. Measured 2-shard
+// speed-up over 1 shard on 2 cores (TFAR, 2 VCs, load 0.8):
+//
+//	16-ary 2-cube     256 routers  0.67×
+//	32-ary 2-cube   1,024 routers  1.00×
+//	64-ary 2-cube   4,096 routers  0.94×
+//	16-ary 3-cube   4,096 routers  1.03×
+//	128-ary 2-cube 16,384 routers  1.28×
+//	32-ary 3-cube  32,768 routers  1.61×
+const minRoutersPerShard = 4096
+
+// AutoShardCount is the auto shard rule: min(GOMAXPROCS,
+// nodes/minRoutersPerShard), at least 1. Networks below 2×4096 routers
+// therefore run on the sequential engine.
+func AutoShardCount(nodes int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), nodes/minRoutersPerShard))
+}
 
 // shardsEnv overrides a zero Params.Shards; it holds a shard count or
 // "auto". CI uses it to force the parallel engine under -race without
@@ -67,18 +87,9 @@ func resolveShards(req, nodes int) int {
 		}
 	}
 	if s < 0 { // AutoShards
-		s = runtime.GOMAXPROCS(0)
-		if q := nodes / 4; s > q {
-			s = q
-		}
+		s = AutoShardCount(nodes)
 	}
-	if s < 1 {
-		s = 1
-	}
-	if s > nodes {
-		s = nodes
-	}
-	return s
+	return max(1, min(s, nodes))
 }
 
 // deltas accumulates a worker's counter contributions for one phase or
@@ -154,6 +165,10 @@ type worker struct {
 	rxDirty []int32 // this shard's nodes with pending reception requests
 
 	// Routing scratch (per worker: the allocate kernel runs concurrently).
+	// req is filled in place for every routed header: a fresh
+	// routing.Request literal escapes through the Candidates interface
+	// call and costs one heap allocation per header per cycle.
+	req     routing.Request
 	candBuf []routing.Candidate
 	fbBuf   []routing.Candidate
 	chBuf   []topology.ChannelID
@@ -758,7 +773,8 @@ func (w *worker) allocate(msgs []*message.Message) {
 			continue // ejecting; reception handled by arbitrateAndEject
 		}
 		w.curOrd = m.Ord
-		req := routing.Request{
+		req := &w.req
+		*req = routing.Request{
 			Topo:    n.topo,
 			Node:    here,
 			Dst:     m.Dst,
@@ -770,7 +786,7 @@ func (w *worker) allocate(msgs []*message.Message) {
 		if mr, ok := n.p.Routing.(routing.MisroutingFAR); ok && mr.MaxDeroutes > 0 {
 			req.Deroutes = derouteCount(n.topo, m)
 		}
-		w.candBuf = n.p.Routing.Candidates(&req, w.candBuf[:0])
+		w.candBuf = n.p.Routing.Candidates(req, w.candBuf[:0])
 		if n.faults != nil {
 			cands, ok := w.faultCandidates(m, here, req.PrevCh, w.candBuf)
 			if !ok || len(cands) == 0 {

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"flexsim/internal/routing"
@@ -29,21 +30,30 @@ func TestResolveShards(t *testing.T) {
 		{4, 16, 4},
 		{0, 16, 1},    // unset, no env
 		{100, 16, 16}, // clamped to nodes
-		{-5, 16, 1},   // negative = auto; capped by nodes/4 then GOMAXPROCS
 	}
 	for _, c := range cases {
-		got := resolveShards(c.req, c.nodes)
-		if c.req == -5 {
-			// Auto depends on GOMAXPROCS; only check the bounds.
-			if got < 1 || got > c.nodes/4 {
-				t.Errorf("resolveShards(auto, %d) = %d, want in [1, %d]", c.nodes, got, c.nodes/4)
-			}
-			continue
-		}
-		if got != c.want {
+		if got := resolveShards(c.req, c.nodes); got != c.want {
 			t.Errorf("resolveShards(%d, %d) = %d, want %d", c.req, c.nodes, got, c.want)
 		}
 	}
+
+	// Auto: networks below 2*minRoutersPerShard never shard, whatever the
+	// core count; the 32-ary 3-cube takes one shard per core up to
+	// nodes/minRoutersPerShard.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 16} {
+		runtime.GOMAXPROCS(procs)
+		for _, nodes := range []int{64, 256} { // 8-ary and 16-ary 2-cube
+			if got := resolveShards(AutoShards, nodes); got != 1 {
+				t.Errorf("GOMAXPROCS=%d: resolveShards(auto, %d) = %d, want 1", procs, nodes, got)
+			}
+		}
+		want := min(procs, 32768/minRoutersPerShard)
+		if got := resolveShards(-5, 32768); got != want { // any negative = auto
+			t.Errorf("GOMAXPROCS=%d: resolveShards(auto, 32768) = %d, want %d", procs, got, want)
+		}
+	}
+
 	t.Setenv(shardsEnv, "6")
 	if got := resolveShards(0, 16); got != 6 {
 		t.Errorf("resolveShards(0, 16) with %s=6 = %d, want 6", shardsEnv, got)
@@ -52,8 +62,11 @@ func TestResolveShards(t *testing.T) {
 		t.Errorf("explicit Shards must beat the environment, got %d", got)
 	}
 	t.Setenv(shardsEnv, "auto")
-	if got := resolveShards(0, 64); got < 1 || got > 16 {
-		t.Errorf("resolveShards(0, 64) with %s=auto = %d, want in [1, 16]", shardsEnv, got)
+	if got := resolveShards(0, 64); got != 1 {
+		t.Errorf("resolveShards(0, 64) with %s=auto = %d, want 1", shardsEnv, got)
+	}
+	if got, want := resolveShards(0, 32768), AutoShardCount(32768); got != want {
+		t.Errorf("resolveShards(0, 32768) with %s=auto = %d, want %d", shardsEnv, got, want)
 	}
 	t.Setenv(shardsEnv, "nonsense")
 	if got := resolveShards(0, 16); got != 1 {

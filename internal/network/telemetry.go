@@ -37,6 +37,8 @@ var EnginePhaseNames = [EnginePhases]string{
 type EngineStats struct {
 	// Shards is the resolved worker count the matrices are sized for.
 	Shards int
+	// Routers is the network's node count, set by SetEngineStats.
+	Routers int
 	// Cycles counts profiled Step calls.
 	Cycles int64
 
@@ -225,6 +227,7 @@ func (es *EngineStats) countGrantMail(workers []*worker) {
 func (n *Network) SetEngineStats(es *EngineStats) {
 	if es != nil {
 		es.SizeTo(n.shards)
+		es.Routers = n.topo.Nodes()
 	}
 	n.eng = es
 }

@@ -112,6 +112,9 @@ func TestEngineStatsCountsDeterministic(t *testing.T) {
 		return es
 	}
 	a, b := run(), run()
+	if a.Routers != 16 {
+		t.Errorf("Routers = %d, want the 16 nodes of the network", a.Routers)
+	}
 	if a.Cycles != b.Cycles {
 		t.Errorf("Cycles diverged: %d vs %d", a.Cycles, b.Cycles)
 	}

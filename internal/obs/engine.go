@@ -33,19 +33,20 @@ type EngineSink interface {
 // EngineSink. Runs with different shard counts fold into matrices sized for
 // the largest count seen.
 type EngineProfile struct {
-	mu     sync.Mutex
-	runs   int
-	shards int
-	cycles int64
-	phase  [][network.EnginePhases]int64
-	wall   [network.EnginePhases]int64
-	stall  [network.EnginePhases]int64
-	idle   [network.EnginePhases]int64
-	req    []int64
-	grant  []int64
-	msgFx  int64
-	nodeFx int64
-	merge  int64
+	mu      sync.Mutex
+	runs    int
+	shards  int
+	routers int // largest network seen
+	cycles  int64
+	phase   [][network.EnginePhases]int64
+	wall    [network.EnginePhases]int64
+	stall   [network.EnginePhases]int64
+	idle    [network.EnginePhases]int64
+	req     []int64
+	grant   []int64
+	msgFx   int64
+	nodeFx  int64
+	merge   int64
 }
 
 // EngineRun implements EngineSink.
@@ -56,6 +57,7 @@ func (p *EngineProfile) EngineRun(meta RunMeta, es *network.EngineStats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.grow(es.Shards)
+	p.routers = max(p.routers, es.Routers)
 	p.runs++
 	p.cycles += es.Cycles
 	for s := range es.PhaseNs {
@@ -143,7 +145,8 @@ type EngineReport struct {
 	MergeNs     int64 `json:"merge_ns"`
 
 	// SuggestedShards is a heuristic: shrink when workers mostly idle,
-	// grow when they never do and cores remain.
+	// grow when they never do, never above network.AutoShardCount of the
+	// largest network profiled.
 	SuggestedShards int      `json:"suggested_shards"`
 	Notes           []string `json:"notes,omitempty"`
 }
@@ -214,7 +217,7 @@ func (p *EngineProfile) Report() *EngineReport {
 		}
 	}
 	r.MsgEffects, r.NodeEffects, r.MergeNs = p.msgFx, p.nodeFx, p.merge
-	r.SuggestedShards, r.Notes = suggestShards(p.shards, r.IdleFraction, r.StallNs, r.WallNs)
+	r.SuggestedShards, r.Notes = suggestShards(p.shards, p.routers, r.IdleFraction, r.StallNs, r.WallNs)
 	return r
 }
 
@@ -227,32 +230,37 @@ func unflatten(flat []int64, s int) [][]int64 {
 	return m
 }
 
-// suggestShards applies the imbalance heuristic: workers idle more than a
-// quarter of the time → the partition is too fine (or too skewed) for the
-// work, halve it; workers essentially never idle and cores remain → the
-// engine is compute-bound, double it. Anything between keeps the current
-// count.
-func suggestShards(shards int, idleFrac float64, stallNs, wallNs int64) (int, []string) {
+// suggestShards applies the imbalance heuristic within the auto shard
+// rule (network.AutoShardCount): where the rule picks one shard (a network
+// too small to gain from sharding, or a single core) it advises one shard;
+// otherwise workers idle more than a quarter of the time → the partition is
+// too fine (or too skewed) for the work, halve it; workers essentially
+// never idle and the rule allows more shards → the engine is compute-bound,
+// double it. Anything between keeps the current count.
+func suggestShards(shards, routers int, idleFrac float64, stallNs, wallNs int64) (int, []string) {
 	var notes []string
 	cores := runtime.GOMAXPROCS(0)
+	auto := network.AutoShardCount(routers)
 	switch {
-	case shards == 1:
-		if cores > 1 {
-			notes = append(notes, fmt.Sprintf(
-				"single-shard run: no barrier or mailbox costs to profile; try -shards %d to measure scaling", min(cores, 4)))
-			return min(cores, 4), notes
-		}
-		notes = append(notes, "single-shard run on a single-core machine: nothing to rebalance")
+	case shards == 1 && auto > 1:
+		notes = append(notes, fmt.Sprintf(
+			"single-shard run of a %d-router network on %d cores: try -shards %d (auto) to measure scaling",
+			routers, cores, auto))
+		return auto, notes
+	case auto == 1:
+		notes = append(notes, fmt.Sprintf(
+			"auto picks 1 shard for a %d-router network on %d core(s): barriers would cost more than parallel kernels save",
+			routers, cores))
 		return 1, notes
 	case idleFrac > 0.25:
 		s := max(1, shards/2)
 		notes = append(notes, fmt.Sprintf(
 			"workers idle %.0f%% of barrier time: partition too fine for the offered work", idleFrac*100))
 		return s, notes
-	case idleFrac < 0.05 && shards < cores:
+	case idleFrac < 0.05 && shards < auto:
 		notes = append(notes, fmt.Sprintf(
 			"workers idle %.0f%% of barrier time with %d cores unused: engine looks compute-bound", idleFrac*100, cores-shards))
-		return min(2*shards, cores), notes
+		return min(2*shards, auto), notes
 	}
 	if wallNs > 0 && float64(stallNs)/float64(wallNs) > 0.2 {
 		notes = append(notes, fmt.Sprintf(

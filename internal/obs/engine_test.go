@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,52 @@ func TestEngineReportText(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSuggestShardsFollowsAutoRule: the report never advises sharding a
+// network the auto rule keeps on one shard (64 and 256 routers stay below
+// it on any core count), and caps growth at the rule's count for the
+// 32-ary 3-cube (min(GOMAXPROCS, 32768/4096)).
+func TestSuggestShardsFollowsAutoRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := []struct {
+		procs, shards, routers int
+		idle                   float64
+		want                   int
+	}{
+		{4, 1, 64, 0, 1},
+		{16, 1, 256, 0, 1},
+		{16, 4, 256, 0.01, 1}, // explicit shards on a small network: back to 1
+		{4, 1, 32768, 0, 4},
+		{16, 1, 32768, 0, 8},
+		{1, 1, 32768, 0, 1},
+		{16, 2, 32768, 0.01, 4}, // compute-bound: double
+		{16, 8, 32768, 0.01, 8}, // already at the rule's count
+		{4, 4, 32768, 0.5, 2},   // mostly idle: halve
+	}
+	for _, c := range cases {
+		runtime.GOMAXPROCS(c.procs)
+		got, notes := suggestShards(c.shards, c.routers, c.idle, 0, 1)
+		if got != c.want {
+			t.Errorf("GOMAXPROCS=%d: suggestShards(%d shards, %d routers, idle %.2f) = %d, want %d (notes %q)",
+				c.procs, c.shards, c.routers, c.idle, got, c.want, notes)
+		}
+		if got != c.shards && len(notes) == 0 {
+			t.Errorf("GOMAXPROCS=%d, %d shards, %d routers: a changed count needs a note", c.procs, c.shards, c.routers)
+		}
+	}
+
+	// End to end: the profile takes the network size from EngineStats.
+	runtime.GOMAXPROCS(16)
+	for _, c := range []struct{ routers, want int }{{64, 1}, {32768, 8}} {
+		var p EngineProfile
+		es := fakeEngineStats(1, 1000)
+		es.Routers = c.routers
+		p.EngineRun(RunMeta{}, es)
+		if got := p.Report().SuggestedShards; got != c.want {
+			t.Errorf("1-shard %d-router report suggests %d shards, want %d", c.routers, got, c.want)
 		}
 	}
 }

@@ -86,7 +86,8 @@ type Config struct {
 	MeasureCycles int
 	// Shards is the number of worker-pool shards stepping the network in
 	// parallel: 1 = sequential, AutoShards (-1) = min(GOMAXPROCS,
-	// nodes/4), 0 = consult FLEXSIM_SHARDS then default to 1. Shard count
+	// nodes/4096) (see network.AutoShardCount), 0 = consult
+	// FLEXSIM_SHARDS then default to 1. Shard count
 	// never changes results — it is execution strategy, not physics — and
 	// is therefore excluded from the content-addressed cache key.
 	Shards int
