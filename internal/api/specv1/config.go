@@ -1,121 +1,21 @@
 package specv1
 
-import (
-	"flexsim/internal/fault"
-	"flexsim/internal/sim"
-)
+import "flexsim/internal/sim"
 
-// PointConfig is the wire form of one simulation point: every *semantic*
-// field of sim.Config — the fields that participate in the content-addressed
-// cache key — with explicit snake_case JSON names. Runtime plumbing (sinks,
-// tracers, shard counts, artifact paths) deliberately has no wire form: an
+// PointConfig is the wire form of one simulation point: sim.Spec, the
+// semantic half of sim.Config, whose fields carry their snake_case JSON
+// names. Embedding keeps the encoding flat. The runtime half (sim.Observe:
+// sinks, tracers, shard counts, artifact paths) has no wire form: an
 // execution service chooses those per process, not per request, so two
 // clients submitting the same physics always hit the same cache entry.
-//
-// The FieldCoverage test pins the contract: any sim.Config field that
-// influences runner.Key must survive a FromSim/ToSim round trip, so adding a
-// semantic field to sim.Config without extending this struct fails the
-// build's tests rather than silently dropping the field on the wire.
 type PointConfig struct {
-	// Topology.
-	K              int  `json:"k"`
-	N              int  `json:"n"`
-	Bidirectional  bool `json:"bidirectional"`
-	Mesh           bool `json:"mesh,omitempty"`
-	IrregularNodes int  `json:"irregular_nodes,omitempty"`
-	IrregularLinks int  `json:"irregular_links,omitempty"`
-
-	// Router resources.
-	VCs         int     `json:"vcs"`
-	BufferDepth int     `json:"buffer_depth"`
-	MsgLen      int     `json:"msg_len"`
-	MsgLenShort int     `json:"msg_len_short,omitempty"`
-	ShortFrac   float64 `json:"short_frac,omitempty"`
-
-	// Routing and traffic.
-	Routing     string  `json:"routing"`
-	Traffic     string  `json:"traffic"`
-	HotspotFrac float64 `json:"hotspot_frac,omitempty"`
-	Load        float64 `json:"load"`
-
-	// Program-driven workload (replaces open-loop traffic when set).
-	Workload       string `json:"workload,omitempty"`
-	WorkloadPhases int    `json:"workload_phases,omitempty"`
-	ComputeDelay   int    `json:"compute_delay,omitempty"`
-
-	// Run control.
-	Seed          uint64 `json:"seed"`
-	WarmupCycles  int    `json:"warmup_cycles"`
-	MeasureCycles int    `json:"measure_cycles"`
-
-	// Fault injection.
-	FaultSeed     uint64        `json:"fault_seed,omitempty"`
-	FaultLinkMTTF int           `json:"fault_link_mttf,omitempty"`
-	FaultRepair   int           `json:"fault_repair,omitempty"`
-	FaultEvents   []fault.Event `json:"fault_events,omitempty"`
-
-	// Deadlock detection and recovery.
-	DetectEvery       int     `json:"detect_every"`
-	VictimPolicy      string  `json:"victim_policy"`
-	Recover           bool    `json:"recover"`
-	KnotCycles        bool    `json:"knot_cycles,omitempty"`
-	CycleCensus       bool    `json:"cycle_census,omitempty"`
-	MaxCycles         int     `json:"max_cycles,omitempty"`
-	MaxWork           int     `json:"max_work,omitempty"`
-	RecoveryDrainRate int     `json:"recovery_drain_rate,omitempty"`
-	KeepEvents        bool    `json:"keep_events,omitempty"`
-	TimeoutThresholds []int64 `json:"timeout_thresholds,omitempty"`
-
-	// Validation.
-	CheckInvariants bool `json:"check_invariants,omitempty"`
-
-	// Label for result tables; defaults to "<routing><vcs>".
-	Label string `json:"label,omitempty"`
+	sim.Spec
 }
 
-// FromSim captures the semantic fields of a simulation configuration into
-// the wire form, dropping runtime plumbing (which has no wire equivalent).
-func FromSim(c sim.Config) PointConfig {
-	return PointConfig{
-		K: c.K, N: c.N, Bidirectional: c.Bidirectional, Mesh: c.Mesh,
-		IrregularNodes: c.IrregularNodes, IrregularLinks: c.IrregularLinks,
-		VCs: c.VCs, BufferDepth: c.BufferDepth,
-		MsgLen: c.MsgLen, MsgLenShort: c.MsgLenShort, ShortFrac: c.ShortFrac,
-		Routing: c.Routing, Traffic: c.Traffic, HotspotFrac: c.HotspotFrac, Load: c.Load,
-		Workload: c.Workload, WorkloadPhases: c.WorkloadPhases, ComputeDelay: c.ComputeDelay,
-		Seed: c.Seed, WarmupCycles: c.WarmupCycles, MeasureCycles: c.MeasureCycles,
-		FaultSeed: c.FaultSeed, FaultLinkMTTF: c.FaultLinkMTTF, FaultRepair: c.FaultRepair,
-		FaultEvents: c.FaultEvents,
-		DetectEvery: c.DetectEvery, VictimPolicy: c.VictimPolicy,
-		Recover: c.Recover, KnotCycles: c.KnotCycles, CycleCensus: c.CycleCensus,
-		MaxCycles: c.MaxCycles, MaxWork: c.MaxWork,
-		RecoveryDrainRate: c.RecoveryDrainRate, KeepEvents: c.KeepEvents,
-		TimeoutThresholds: c.TimeoutThresholds,
-		CheckInvariants:   c.CheckInvariants,
-		Label:             c.Label,
-	}
-}
+// FromSim captures the semantic half of a simulation configuration into
+// the wire form.
+func FromSim(c sim.Config) PointConfig { return PointConfig{c.Spec} }
 
-// ToSim expands the wire form into a runnable simulation configuration.
-// Runtime plumbing fields (sinks, tracers, shard count, artifact paths) are
-// left zero; the executing process attaches its own.
-func (p PointConfig) ToSim() sim.Config {
-	return sim.Config{
-		K: p.K, N: p.N, Bidirectional: p.Bidirectional, Mesh: p.Mesh,
-		IrregularNodes: p.IrregularNodes, IrregularLinks: p.IrregularLinks,
-		VCs: p.VCs, BufferDepth: p.BufferDepth,
-		MsgLen: p.MsgLen, MsgLenShort: p.MsgLenShort, ShortFrac: p.ShortFrac,
-		Routing: p.Routing, Traffic: p.Traffic, HotspotFrac: p.HotspotFrac, Load: p.Load,
-		Workload: p.Workload, WorkloadPhases: p.WorkloadPhases, ComputeDelay: p.ComputeDelay,
-		Seed: p.Seed, WarmupCycles: p.WarmupCycles, MeasureCycles: p.MeasureCycles,
-		FaultSeed: p.FaultSeed, FaultLinkMTTF: p.FaultLinkMTTF, FaultRepair: p.FaultRepair,
-		FaultEvents: p.FaultEvents,
-		DetectEvery: p.DetectEvery, VictimPolicy: p.VictimPolicy,
-		Recover: p.Recover, KnotCycles: p.KnotCycles, CycleCensus: p.CycleCensus,
-		MaxCycles: p.MaxCycles, MaxWork: p.MaxWork,
-		RecoveryDrainRate: p.RecoveryDrainRate, KeepEvents: p.KeepEvents,
-		TimeoutThresholds: p.TimeoutThresholds,
-		CheckInvariants:   p.CheckInvariants,
-		Label:             p.Label,
-	}
-}
+// ToSim expands the wire form into a runnable simulation configuration
+// with a zero sim.Observe; the executing process attaches its own.
+func (p PointConfig) ToSim() sim.Config { return sim.Config{Spec: p.Spec} }

@@ -3,50 +3,78 @@ package specv1
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"flexsim/internal/fault"
+	"flexsim/internal/obs"
 	"flexsim/internal/runner"
 	"flexsim/internal/sim"
+	"flexsim/internal/trace"
 )
 
-// TestFieldCoverage pins the wire contract to the cache key: for every
-// sim.Config field that influences runner.Key (i.e. every semantic field),
-// a FromSim → ToSim round trip must preserve the key. A semantic field
-// added to sim.Config without a PointConfig counterpart fails here instead
-// of silently never travelling — which would make a sweep service run a
-// different physics than the client asked for while caching it under the
-// client's key.
-func TestFieldCoverage(t *testing.T) {
-	base := sim.Default()
-	baseKey := runner.Key(base)
-	typ := reflect.TypeOf(base)
+// snakeCase matches a wire field name such as "buffer_depth".
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// TestSpecShape pins the shape that makes sim.Spec safe to hash and to
+// send. Every field has a unique snake_case JSON name: encoding/json
+// silently drops fields whose names collide, and such a field would never
+// travel. No field has a kind whose canonical encoding is an address or
+// fails (func, interface, pointer, chan, map): such a field would make
+// cache keys nondeterministic, and belongs in sim.Observe. Finally, each
+// field set to a non-default value survives a JSON wire round trip with
+// its cache key intact.
+func TestSpecShape(t *testing.T) {
+	typ := reflect.TypeOf(sim.Spec{})
+	names := map[string]string{}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		mutated, ok := mutateField(base, i)
-		if !ok {
-			continue // runtime plumbing kinds (func/interface/pointer/chan)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !snakeCase.MatchString(name) {
+			t.Errorf("sim.Spec.%s: json name %q is not snake_case", f.Name, name)
 		}
-		key := runner.Key(mutated)
-		if key == baseKey {
-			continue // non-semantic: excluded from the cache key, needs no wire form
+		if prev, dup := names[name]; dup {
+			t.Errorf("sim.Spec.%s: json name %q already used by %s", f.Name, name, prev)
 		}
-		round := FromSim(mutated).ToSim()
-		if got := runner.Key(round); got != key {
-			t.Errorf("semantic field sim.Config.%s does not survive the specv1 round trip "+
-				"(key %s != %s); add it to PointConfig", f.Name, got[:12], key[:12])
+		names[name] = f.Name
+		k := f.Type
+		if k.Kind() == reflect.Slice {
+			k = k.Elem()
+		}
+		switch k.Kind() {
+		case reflect.Func, reflect.Interface, reflect.Pointer, reflect.Chan, reflect.Map:
+			t.Errorf("sim.Spec.%s has %s kind; runtime plumbing belongs in sim.Observe", f.Name, k.Kind())
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		c := sim.Default()
+		mutateField(&c.Spec, i)
+		raw, err := json.Marshal(FromSim(c))
+		if err != nil {
+			t.Fatalf("sim.Spec.%s: %v", f.Name, err)
+		}
+		var p PointConfig
+		if err := json.Unmarshal(raw, &p); err != nil {
+			t.Fatalf("sim.Spec.%s: %v", f.Name, err)
+		}
+		if got, want := runner.Key(p.ToSim()), runner.Key(c); got != want {
+			t.Errorf("sim.Spec.%s does not survive the wire round trip (key %s != %s)",
+				f.Name, got[:12], want[:12])
 		}
 	}
 }
 
-// mutateField returns base with field i set to a non-default value, or
-// ok=false for kinds the cache key skips anyway.
-func mutateField(base sim.Config, i int) (sim.Config, bool) {
-	v := reflect.ValueOf(&base).Elem().Field(i)
+// mutateField sets field i of s to a non-default value.
+func mutateField(s *sim.Spec, i int) {
+	v := reflect.ValueOf(s).Elem().Field(i)
 	switch v.Kind() {
-	case reflect.Func, reflect.Interface, reflect.Ptr, reflect.Chan:
-		return base, false
 	case reflect.Bool:
 		v.SetBool(!v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -63,19 +91,46 @@ func mutateField(base sim.Config, i int) (sim.Config, bool) {
 			v.Set(reflect.ValueOf([]int64{3, 9}))
 		case reflect.TypeOf(fault.Event{}):
 			v.Set(reflect.ValueOf([]fault.Event{{Cycle: 5, Kind: fault.LinkDown, Ch: 2}}))
-		case reflect.TypeOf(float64(0)):
-			v.Set(reflect.ValueOf([]float64{0.25}))
-		case reflect.TypeOf(""):
-			v.Set(reflect.ValueOf([]string{"zz"}))
-		case reflect.TypeOf(0):
-			v.Set(reflect.ValueOf([]int{3}))
 		default:
 			panic("specv1 test: add a mutation for slice element type " + elem.String())
 		}
 	default:
 		panic("specv1 test: add a mutation for kind " + v.Kind().String())
 	}
-	return base, true
+}
+
+// allObserve returns a sim.Observe with every field set, by reflection, so
+// a field added to Observe is covered without editing the callers.
+func allObserve(t *testing.T) sim.Observe {
+	impls := []any{trace.NewPerfetto(io.Discard), obs.NewCSVSink(io.Discard), &obs.EngineProfile{}}
+	var o sim.Observe
+	v := reflect.ValueOf(&o).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(8)
+		case reflect.String:
+			f.SetString(strings.ToLower(name) + "-*")
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Interface:
+			for _, impl := range impls {
+				if reflect.TypeOf(impl).Implements(f.Type()) {
+					f.Set(reflect.ValueOf(impl))
+					break
+				}
+			}
+			if f.IsNil() {
+				t.Fatalf("allObserve: no sample implements %s (sim.Observe.%s)", f.Type(), name)
+			}
+		default:
+			t.Fatalf("allObserve: add a value for %s kind (sim.Observe.%s)", f.Kind(), name)
+		}
+	}
+	return o
 }
 
 func TestConfigRoundTripEquality(t *testing.T) {
@@ -97,19 +152,13 @@ func TestConfigRoundTripEquality(t *testing.T) {
 	}
 }
 
-// TestPlumbingDoesNotTravel pins that runtime plumbing fields have no wire
-// form: a config with observation hooks attached produces the same wire
-// bytes as one without.
+// TestPlumbingDoesNotTravel pins that runtime plumbing has no wire form: a
+// config with every sim.Observe field set produces the same wire bytes as
+// one without.
 func TestPlumbingDoesNotTravel(t *testing.T) {
 	plain := sim.Quick()
 	wired := plain
-	wired.Shards = 8
-	wired.MetricsEvery = 100
-	wired.ProfileEngine = true
-	wired.SpansPath = "spans-*.json"
-	wired.HeatmapPath = "heat-*.csv"
-	wired.ForensicsDepth = 64
-	wired.IncidentDOT = true
+	wired.Observe = allObserve(t)
 	a, err := json.Marshal(FromSim(plain))
 	if err != nil {
 		t.Fatal(err)

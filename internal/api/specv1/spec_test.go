@@ -102,36 +102,39 @@ func TestSpecGolden(t *testing.T) {
 	}
 }
 
+// strictSpecCases are specs DecodeSpec must reject, with a fragment of the
+// expected error; FuzzDecodeSpec seeds from them too.
+var strictSpecCases = []struct {
+	name, body, wantErr string
+}{
+	{"unknown top-level field",
+		`{"schema_version":1,"bogus":3,"base":{"k":4,"n":2},"loads":[0.5]}`,
+		"bogus"},
+	{"unknown nested field",
+		`{"schema_version":1,"base":{"k":4,"n":2,"warp":9},"loads":[0.5]}`,
+		"warp"},
+	{"missing schema version",
+		`{"base":{"k":4,"n":2},"loads":[0.5]}`,
+		"schema_version 0"},
+	{"wrong schema version",
+		`{"schema_version":2,"base":{"k":4,"n":2},"loads":[0.5]}`,
+		"schema_version 2"},
+	{"points and base both set",
+		`{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5],"points":[{"k":4,"n":2}]}`,
+		"mutually exclusive"},
+	{"base without loads",
+		`{"schema_version":1,"base":{"k":4,"n":2}}`,
+		"loads"},
+	{"empty",
+		`{"schema_version":1}`,
+		"needs either"},
+	{"trailing garbage",
+		`{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]} {"x":1}`,
+		"trailing"},
+}
+
 func TestDecodeSpecStrict(t *testing.T) {
-	cases := []struct {
-		name, body, wantErr string
-	}{
-		{"unknown top-level field",
-			`{"schema_version":1,"bogus":3,"base":{"k":4,"n":2},"loads":[0.5]}`,
-			"bogus"},
-		{"unknown nested field",
-			`{"schema_version":1,"base":{"k":4,"n":2,"warp":9},"loads":[0.5]}`,
-			"warp"},
-		{"missing schema version",
-			`{"base":{"k":4,"n":2},"loads":[0.5]}`,
-			"schema_version 0"},
-		{"wrong schema version",
-			`{"schema_version":2,"base":{"k":4,"n":2},"loads":[0.5]}`,
-			"schema_version 2"},
-		{"points and base both set",
-			`{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5],"points":[{"k":4,"n":2}]}`,
-			"mutually exclusive"},
-		{"base without loads",
-			`{"schema_version":1,"base":{"k":4,"n":2}}`,
-			"loads"},
-		{"empty",
-			`{"schema_version":1}`,
-			"needs either"},
-		{"trailing garbage",
-			`{"schema_version":1,"base":{"k":4,"n":2},"loads":[0.5]} {"x":1}`,
-			"trailing"},
-	}
-	for _, tc := range cases {
+	for _, tc := range strictSpecCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeSpec(strings.NewReader(tc.body))
 			if err == nil {

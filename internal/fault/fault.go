@@ -11,7 +11,7 @@
 // (seed, MTTF, repair) with a named RNG stream — rng.Stream(seed, "fault")
 // — that is derived from the seed value alone, so attaching a schedule
 // never perturbs a single traffic or workload draw. The schedule is part of
-// sim.Config and therefore part of the content-addressed cache key: two
+// sim.Spec and therefore part of the content-addressed cache key: two
 // runs with the same schedule and seed are byte-identical, and a changed
 // schedule is a different cache entry.
 package fault

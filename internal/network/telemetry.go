@@ -14,8 +14,9 @@ package network
 // Determinism contract: every *count* in EngineStats (mailbox matrices,
 // effect totals, cycles) is exact and identical across runs of the same
 // configuration; the nanosecond fields are wall-clock measurements and are
-// therefore excluded from golden comparisons and the content-addressed
-// cache key (sim.Config.ProfileEngine is in runner's nonSemantic set).
+// therefore excluded from golden comparisons, and the switch that enables
+// them (sim.Observe.ProfileEngine) is outside the content-addressed cache
+// key.
 
 import "slices"
 

@@ -23,8 +23,7 @@ import (
 
 // EngineSink receives a finished run's engine telemetry. Implementations
 // must be safe for concurrent use (sweeps flush many runs from worker
-// goroutines). Interface-typed fields are excluded from the content-
-// addressed cache key automatically.
+// goroutines). It is attached through sim.Observe, outside the cache key.
 type EngineSink interface {
 	EngineRun(meta RunMeta, es *network.EngineStats)
 }

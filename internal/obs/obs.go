@@ -55,7 +55,7 @@ type Gauges struct {
 	FaultsActive int
 	MsgsKilled   int64
 	// Engine telemetry (zero unless engine profiling is enabled — see
-	// sim.Config.ProfileEngine). EngineBusyNs is cumulative kernel wall
+	// sim.Observe.ProfileEngine). EngineBusyNs is cumulative kernel wall
 	// time across shards and phases and EngineStallNs the cumulative
 	// slowest-minus-median barrier stall; both are wall-clock measurements
 	// and therefore nondeterministic. EngineCrossShard is the cumulative

@@ -3,7 +3,7 @@ package runner
 // Content-addressed result cache. A simulation is deterministic in its
 // configuration, so a completed Result is an artifact worth keeping: the
 // cache keys each run by the SHA-256 of its canonically JSON-encoded
-// sim.Config and persists completed Points as JSONL, letting an interrupted
+// sim.Spec and persists completed Points as JSONL, letting an interrupted
 // or repeated sweep skip every configuration it has already finished.
 //
 // The store is safe for concurrent multi-process appenders — a sweep
@@ -39,47 +39,23 @@ import (
 // cacheFile is the JSONL file holding one completed Point per line.
 const cacheFile = "results.jsonl"
 
-// nonSemantic names Config fields that never influence the measured Result
-// (observability cadence and rendering switches, and the shard count — an
-// execution strategy the parallel engine guarantees is result-invariant);
-// they are excluded from the cache key so toggling instrumentation or
-// re-running on a different core count does not invalidate finished runs.
-// Fields of func/interface/pointer kind (Tracer, MetricsSink, MetricsLive,
-// Incidents) are runtime plumbing and are skipped by kind.
-var nonSemantic = map[string]bool{
-	"MetricsEvery":   true,
-	"IncidentDOT":    true,
-	"ForensicsDepth": true,
-	"Shards":         true,
-	"ProfileEngine":  true,
-	"SpansPath":      true,
-	"HeatmapPath":    true,
-	"TraceContext":   true,
-}
-
 // CanonicalConfig returns the canonical JSON encoding of a configuration:
-// every semantic exported field, keyed by field name, with keys sorted —
-// so the encoding (and hence the cache key) is independent of struct field
-// order but sensitive to every value change.
+// every field of its semantic half, sim.Spec, keyed by Go field name, with
+// keys sorted — so the encoding (and hence the cache key) is independent of
+// struct field order but sensitive to every value change. The runtime half,
+// sim.Observe, is never read: toggling instrumentation or re-running on a
+// different core count does not invalidate finished runs.
 func CanonicalConfig(c sim.Config) []byte {
-	v := reflect.ValueOf(c)
+	v := reflect.ValueOf(c.Spec)
 	t := v.Type()
 	m := make(map[string]interface{}, t.NumField())
 	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if nonSemantic[f.Name] {
-			continue
-		}
-		switch f.Type.Kind() {
-		case reflect.Func, reflect.Interface, reflect.Ptr, reflect.Chan:
-			continue
-		}
-		m[f.Name] = v.Field(i).Interface()
+		m[t.Field(i).Name] = v.Field(i).Interface()
 	}
 	b, err := json.Marshal(m) // map keys marshal sorted
 	if err != nil {
-		// Config holds only plain scalars and integer slices; encoding
-		// cannot fail short of a programming error.
+		// Spec holds only plain scalars and slices of plain values;
+		// encoding cannot fail short of a programming error.
 		panic(fmt.Sprintf("runner: canonical config encoding failed: %v", err))
 	}
 	return b

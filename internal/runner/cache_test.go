@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flexsim/internal/fault"
@@ -33,67 +34,93 @@ func TestCanonicalConfigGolden(t *testing.T) {
 	}
 }
 
-// TestKeySensitivity: every semantic value change must change the key; the
+// TestKeySensitivity: every sim.Spec field, set to a non-default value,
+// must give a key distinct from the base and from every other field's; the
 // canonical map encoding makes the key independent of struct field order by
 // construction (keys marshal sorted by name, not by position).
 func TestKeySensitivity(t *testing.T) {
 	base := sim.Default()
-	mutations := map[string]func(*sim.Config){
-		"Load":          func(c *sim.Config) { c.Load = 0.75 },
-		"Seed":          func(c *sim.Config) { c.Seed = 42 },
-		"VCs":           func(c *sim.Config) { c.VCs = 3 },
-		"Routing":       func(c *sim.Config) { c.Routing = "dor" },
-		"Label":         func(c *sim.Config) { c.Label = "ablation-a" },
-		"K":             func(c *sim.Config) { c.K = 8 },
-		"MeasureCycles": func(c *sim.Config) { c.MeasureCycles = 500 },
-		"Recover":       func(c *sim.Config) { c.Recover = false },
-		"TimeoutThresholds": func(c *sim.Config) {
-			c.TimeoutThresholds = []int64{16, 32}
-		},
-		"FaultSeed":     func(c *sim.Config) { c.FaultSeed = 9 },
-		"FaultLinkMTTF": func(c *sim.Config) { c.FaultLinkMTTF = 5000 },
-		"FaultRepair":   func(c *sim.Config) { c.FaultRepair = 200 },
-		"FaultEvents": func(c *sim.Config) {
-			c.FaultEvents = []fault.Event{{Cycle: 100, Kind: fault.LinkDown, Ch: 3}}
-		},
-		"FaultEvents-alt": func(c *sim.Config) {
-			c.FaultEvents = []fault.Event{{Cycle: 200, Kind: fault.LinkDown, Ch: 3}}
-		},
-	}
 	seen := map[string]string{Key(base): "base"}
-	for name, mutate := range mutations {
-		c := base
-		mutate(&c)
+	check := func(name string, c sim.Config) {
 		k := Key(c)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("mutating %s produced the same key as %s", name, prev)
 		}
 		seen[k] = name
 	}
+	typ := reflect.TypeOf(base.Spec)
+	for i := 0; i < typ.NumField(); i++ {
+		c := base
+		perturb(reflect.ValueOf(&c.Spec).Elem().Field(i))
+		check(typ.Field(i).Name, c)
+	}
+	// Slice contents, not just presence, reach the key.
+	c := base
+	c.FaultEvents = []fault.Event{{Cycle: 200, Kind: fault.LinkDown, Ch: 3}}
+	check("FaultEvents-alt", c)
+}
+
+// perturb sets a sim.Spec field to a value different from sim.Default's.
+func perturb(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 7)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.375)
+	case reflect.String:
+		v.SetString(v.String() + "zz")
+	case reflect.Slice:
+		switch elem := v.Type().Elem(); elem {
+		case reflect.TypeOf(int64(0)):
+			v.Set(reflect.ValueOf([]int64{16, 32}))
+		case reflect.TypeOf(fault.Event{}):
+			v.Set(reflect.ValueOf([]fault.Event{{Cycle: 100, Kind: fault.LinkDown, Ch: 3}}))
+		default:
+			panic("runner test: add a perturbation for slice element type " + elem.String())
+		}
+	default:
+		panic("runner test: add a perturbation for kind " + v.Kind().String())
+	}
 }
 
 // TestKeyIgnoresObservability: toggling instrumentation must not invalidate
-// cached results — tracers, sinks and metrics cadence do not affect the
-// measured Result.
+// cached results. Every sim.Observe field is set, by reflection, and the
+// key must stay the golden one.
 func TestKeyIgnoresObservability(t *testing.T) {
-	base := sim.Default()
-	want := Key(base)
-
-	c := base
-	c.MetricsEvery = 10
-	c.IncidentDOT = true
-	c.MetricsSink = obs.NewCSVSink(&bytes.Buffer{})
-	c.Incidents = &obs.IncidentLog{}
-	c.ForensicsDepth = 1 << 16
-	c.Spans = trace.NewPerfetto(&bytes.Buffer{})
-	c.Heatmap = &obs.Heatmap{}
-	c.ProfileEngine = true
-	c.EngineSink = &obs.EngineProfile{}
-	c.SpansPath = "trace-*.json"
-	c.HeatmapPath = "heat-*.csv"
-	c.TraceContext = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
-	if got := Key(c); got != want {
-		t.Errorf("observability fields changed the key: got %s, want %s", got, want)
+	impls := []any{trace.NewPerfetto(&bytes.Buffer{}), obs.NewCSVSink(&bytes.Buffer{}), &obs.EngineProfile{}}
+	c := sim.Default()
+	v := reflect.ValueOf(&c.Observe).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(8)
+		case reflect.String:
+			f.SetString(name + "-*")
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Interface:
+			for _, impl := range impls {
+				if reflect.TypeOf(impl).Implements(f.Type()) {
+					f.Set(reflect.ValueOf(impl))
+					break
+				}
+			}
+			if f.IsNil() {
+				t.Fatalf("no sample implements %s (sim.Observe.%s)", f.Type(), name)
+			}
+		default:
+			t.Fatalf("add a value for %s kind (sim.Observe.%s)", f.Kind(), name)
+		}
+	}
+	if got := Key(c); got != goldenKey {
+		t.Errorf("observability fields changed the key: got %s, want golden %s", got, goldenKey)
 	}
 }
 

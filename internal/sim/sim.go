@@ -33,41 +33,53 @@ import (
 )
 
 // Config describes one simulation run. The zero value is not runnable; use
-// Default() and override.
+// Default() and override. It has two halves: Spec is the physics — every
+// field that can change the measured Result, hashed into the content-
+// addressed cache key and carried on the sweep wire — and Observe is the
+// runtime plumbing that only watches a run (see DESIGN.md "Cache key").
+// Both are embedded, so their fields read as c.K, c.Shards and so on.
 type Config struct {
+	Spec
+	Observe
+}
+
+// Spec holds the semantic fields of a run. The JSON tags are the sweep
+// wire names (specv1.PointConfig embeds Spec); the cache key encodes the
+// same fields by Go name.
+type Spec struct {
 	// Topology.
-	K             int
-	N             int
-	Bidirectional bool
+	K             int  `json:"k"`
+	N             int  `json:"n"`
+	Bidirectional bool `json:"bidirectional"`
 	// Mesh disables wraparound links (k-ary n-mesh; always
 	// bidirectional). On a mesh, DOR and the turn-model algorithms are
 	// deadlock-free.
-	Mesh bool
+	Mesh bool `json:"mesh,omitempty"`
 	// IrregularNodes, when > 0, replaces the k-ary n-cube with a random
 	// connected irregular switch network of that many nodes (the paper's
 	// future-work topology), with IrregularLinks links beyond its
 	// spanning tree, derived deterministically from Seed. Use routing
 	// "updown" (deadlock-free) or "min-adaptive" (unrestricted) and a
 	// non-coordinate traffic pattern (uniform, hotspot).
-	IrregularNodes int
-	IrregularLinks int
+	IrregularNodes int `json:"irregular_nodes,omitempty"`
+	IrregularLinks int `json:"irregular_links,omitempty"`
 
 	// Router resources.
-	VCs         int // virtual channels per physical channel
-	BufferDepth int // flits per VC edge buffer
-	MsgLen      int // flits per message
+	VCs         int `json:"vcs"`          // virtual channels per physical channel
+	BufferDepth int `json:"buffer_depth"` // flits per VC edge buffer
+	MsgLen      int `json:"msg_len"`      // flits per message
 	// Hybrid (bimodal) message lengths — the paper's future-work item.
 	// When ShortFrac > 0, each message is MsgLenShort flits with that
 	// probability and MsgLen flits otherwise; offered load normalizes by
 	// the mean length.
-	MsgLenShort int
-	ShortFrac   float64
+	MsgLenShort int     `json:"msg_len_short,omitempty"`
+	ShortFrac   float64 `json:"short_frac,omitempty"`
 
 	// Routing and traffic.
-	Routing     string  // routing.Names()
-	Traffic     string  // traffic.Names()
-	HotspotFrac float64 // for Traffic == "hotspot"
-	Load        float64 // normalized offered load (1.0 = capacity)
+	Routing     string  `json:"routing"`                // routing.Names()
+	Traffic     string  `json:"traffic"`                // traffic.Names()
+	HotspotFrac float64 `json:"hotspot_frac,omitempty"` // for Traffic == "hotspot"
+	Load        float64 `json:"load"`                   // normalized offered load (1.0 = capacity)
 
 	// Workload, when nonempty, replaces the open-loop traffic process
 	// with a program-driven driver ("stencil" or "allreduce" — the
@@ -76,21 +88,14 @@ type Config struct {
 	// between them, ending when the program completes (or at the
 	// WarmupCycles+MeasureCycles safety cap); Load and Traffic are
 	// ignored.
-	Workload       string
-	WorkloadPhases int
-	ComputeDelay   int
+	Workload       string `json:"workload,omitempty"`
+	WorkloadPhases int    `json:"workload_phases,omitempty"`
+	ComputeDelay   int    `json:"compute_delay,omitempty"`
 
 	// Run control.
-	Seed          uint64
-	WarmupCycles  int
-	MeasureCycles int
-	// Shards is the number of worker-pool shards stepping the network in
-	// parallel: 1 = sequential, AutoShards (-1) = min(GOMAXPROCS,
-	// nodes/4096) (see network.AutoShardCount), 0 = consult
-	// FLEXSIM_SHARDS then default to 1. Shard count
-	// never changes results — it is execution strategy, not physics — and
-	// is therefore excluded from the content-addressed cache key.
-	Shards int
+	Seed          uint64 `json:"seed"`
+	WarmupCycles  int    `json:"warmup_cycles"`
+	MeasureCycles int    `json:"measure_cycles"`
 
 	// Fault injection (see the fault package). FaultEvents is an explicit
 	// schedule (e.g. parsed from a -fault-schedule file). FaultLinkMTTF,
@@ -100,31 +105,45 @@ type Config struct {
 	// whole run. Generation draws from rng.Stream(seed, "fault") — a
 	// stream derived from the seed value alone — so attaching a schedule
 	// never perturbs traffic or workload draws. FaultSeed overrides the
-	// stream seed (0 = use Seed). All four fields are semantic: they fold
-	// into the content-addressed cache key, so a changed schedule is a
-	// different cache entry.
-	FaultSeed     uint64
-	FaultLinkMTTF int
-	FaultRepair   int
-	FaultEvents   []fault.Event
+	// stream seed (0 = use Seed).
+	FaultSeed     uint64        `json:"fault_seed,omitempty"`
+	FaultLinkMTTF int           `json:"fault_link_mttf,omitempty"`
+	FaultRepair   int           `json:"fault_repair,omitempty"`
+	FaultEvents   []fault.Event `json:"fault_events,omitempty"`
 
 	// Deadlock detection and recovery.
-	DetectEvery       int    // detector period (paper: 50)
-	VictimPolicy      string // detect.ParsePolicy
-	Recover           bool
-	KnotCycles        bool // count knot cycle densities
-	CycleCensus       bool // whole-graph cycle census per invocation
-	MaxCycles         int  // enumeration cap (0 = default)
-	MaxWork           int
-	RecoveryDrainRate int // victim flits absorbed per cycle (0 = instant)
-	KeepEvents        bool
+	DetectEvery       int    `json:"detect_every"`  // detector period (paper: 50)
+	VictimPolicy      string `json:"victim_policy"` // detect.ParsePolicy
+	Recover           bool   `json:"recover"`
+	KnotCycles        bool   `json:"knot_cycles,omitempty"`  // count knot cycle densities
+	CycleCensus       bool   `json:"cycle_census,omitempty"` // whole-graph cycle census per invocation
+	MaxCycles         int    `json:"max_cycles,omitempty"`   // enumeration cap (0 = default)
+	MaxWork           int    `json:"max_work,omitempty"`
+	RecoveryDrainRate int    `json:"recovery_drain_rate,omitempty"` // victim flits absorbed per cycle (0 = instant)
+	KeepEvents        bool   `json:"keep_events,omitempty"`
 	// TimeoutThresholds enables timeout-approximation scoring against
 	// true detection (see detect.TimeoutCounts); results are read from
 	// Runner.Detector.Stats.Timeout.
-	TimeoutThresholds []int64
+	TimeoutThresholds []int64 `json:"timeout_thresholds,omitempty"`
 
 	// Validation.
-	CheckInvariants bool
+	CheckInvariants bool `json:"check_invariants,omitempty"`
+
+	// Label for result tables; defaults to "<routing><vcs>".
+	Label string `json:"label,omitempty"`
+}
+
+// Observe holds the runtime fields of a run: execution strategy and
+// observation hooks. None of them changes the measured Result, so none is
+// hashed into the cache key or carried on the wire; each process attaches
+// its own.
+type Observe struct {
+	// Shards is the number of worker-pool shards stepping the network in
+	// parallel: 1 = sequential, AutoShards (-1) = min(GOMAXPROCS,
+	// nodes/4096) (see network.AutoShardCount), 0 = consult
+	// FLEXSIM_SHARDS then default to 1. Shard count never changes
+	// results — it is execution strategy, not physics.
+	Shards int
 
 	// Tracer, if non-nil, receives message lifecycle events from the
 	// network (see the trace package).
@@ -149,17 +168,15 @@ type Config struct {
 	// timeline: per-message lifecycle spans derived from the trace stream
 	// plus a detector track of pass spans. sim joins it into the tracer
 	// fan-out and wires the detector's OnPass hook; the caller must Close
-	// it after the run to terminate the JSON array. Pointer-typed, so it is
-	// excluded from the content-addressed cache key.
+	// it after the run to terminate the JSON array.
 	Spans *trace.PerfettoWriter
 	// ForensicsDepth > 0 attaches a resource-event ring of that many
 	// events to the network and a FormationAnalyzer (Runner.Forensics);
 	// when Incidents is also set, every incident gains replayed formation
-	// metrics. Observability-only: excluded from the cache key.
+	// metrics.
 	ForensicsDepth int
 	// Heatmap, if non-nil, accumulates per-VC occupancy/block counts on
 	// the metrics cadence (forcing a recorder even when MetricsEvery is 0).
-	// Pointer-typed, so it is excluded from the cache key.
 	Heatmap *obs.Heatmap
 
 	// ProfileEngine enables the parallel cycle engine's telemetry
@@ -167,31 +184,25 @@ type Config struct {
 	// stall/idle accounting, the cross-shard mailbox traffic matrix and
 	// effect-buffer counters. The profiled step path is selected once at
 	// attach time, so disabled runs execute the unmodified engine.
-	// Observability-only: excluded from the cache key (nonSemantic).
 	ProfileEngine bool
 	// EngineSink, if non-nil, receives the run's accumulated engine
-	// telemetry at Finish and implies ProfileEngine. Interface-typed, so it
-	// is excluded from the cache key by kind.
+	// telemetry at Finish and implies ProfileEngine.
 	EngineSink obs.EngineSink
 	// SpansPath, when nonempty, has the run open (and close) its own
 	// Perfetto writer on this file — the file-owning form of Spans for
 	// batch callers that cannot share one writer across runs. A "*" in the
 	// path expands to "<label>-s<seed>-l<load>" so sweeps write one file
-	// per run. Observability-only: excluded from the cache key.
+	// per run.
 	SpansPath string
 	// HeatmapPath is the file-owning form of Heatmap: the run allocates a
 	// heatmap and writes its CSV there when finished. "*" expands as in
-	// SpansPath. Observability-only: excluded from the cache key.
+	// SpansPath.
 	HeatmapPath string
 	// TraceContext, when nonempty, is the fleet span this run executes
 	// under (W3C traceparent form, minted by the sweep coordinator). It is
 	// stamped into the run's Perfetto artifact so per-run timelines join
 	// the coordinator's fleet timeline by trace and span ID.
-	// Observability-only: excluded from the cache key.
 	TraceContext string
-
-	// Label for result tables; defaults to "<routing><vcs>".
-	Label string
 }
 
 // Default returns the paper's default configuration: 16-ary 2-cube,
@@ -199,7 +210,7 @@ type Config struct {
 // TFAR, detector every 50 cycles with oldest-blocked victim recovery, 30 000
 // measured cycles.
 func Default() Config {
-	return Config{
+	return Config{Spec: Spec{
 		K: 16, N: 2, Bidirectional: true,
 		VCs: 1, BufferDepth: 2, MsgLen: 32,
 		Routing: "tfar", Traffic: "uniform",
@@ -209,7 +220,7 @@ func Default() Config {
 		DetectEvery: 50, VictimPolicy: "oldest",
 		Recover: true, KnotCycles: true,
 		RecoveryDrainRate: 1,
-	}
+	}}
 }
 
 // Quick returns a scaled-down configuration (8-ary 2-cube, short windows)

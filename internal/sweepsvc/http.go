@@ -169,8 +169,8 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := req.Config.ToSim()
 	key := runner.Key(cfg)
-	// The trace context and spans path are observability-only (excluded
-	// from the cache key): set after Key so they cannot perturb dedupe.
+	// The trace context and spans path are sim.Observe fields, which the
+	// key never reads.
 	cfg.TraceContext = req.Trace
 	if wk.SpansPath != "" {
 		cfg.SpansPath = wk.SpansPath
